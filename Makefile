@@ -29,11 +29,10 @@ race:
 	$(GO) test -race ./internal/nic/...
 	GOMAXPROCS=4 $(GO) test -race -run 'Golden' ./internal/experiments/
 
-# raceshards is the dedicated shard-sweep race job: both synchronization
-# protocols (neighbor-synchronized windows and the barrier reference — SPSC
-# rings, published clocks, quiescence scan, per-pair lookahead, fused
-# barriers, parking, fast-forward) under the race detector with real
-# parallelism pinned at GOMAXPROCS=4.
+# raceshards is the dedicated shard-sweep race job: the neighbor-synchronized
+# window protocol (SPSC rings, published clocks, per-pair lookahead, spill
+# clamp, quiescence scan, parking, fast-forward) under the race detector
+# with real parallelism pinned at GOMAXPROCS=4.
 raceshards:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestShard|TestSPSC' ./internal/sim/ ./internal/fabric/ ./internal/testbed/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestGoldenShardSweep|TestGoldenSyncSweep|TestGoldenFaultDeterminism' ./internal/experiments/
@@ -66,8 +65,8 @@ chaos:
 	$(GO) test -run 'TestSeededLossNthCellGolden|TestDeadPeerFailsInBoundedTime' ./internal/uam/ ./internal/ip/tcp/
 
 # clos is the multi-switch fabric smoke (DESIGN.md §15): the Clos storm
-# goldens must render byte-identically serial vs shards 1/2/4/8 under both
-# sync protocols, and the CLI path across a 64-host two-stage Clos must
+# goldens must render byte-identically serial vs shards 1/2/4/8, and the
+# CLI path across a 64-host two-stage Clos must
 # finish with zero queue drops and zero undelivered cells.
 clos:
 	GOMAXPROCS=4 $(GO) test -run 'TestGoldenTopoSweep' -v ./internal/experiments/
@@ -81,8 +80,8 @@ gossip:
 	$(GO) run ./cmd/unetbench -experiment gossip -islands 256 -shards 4
 
 # lint runs go vet plus unetlint, the repo's own determinism analyzers
-# (nondeterminism, rawgo, mapiter, costcharge, seedflow, hotpathalloc,
-# barrierstate — see DESIGN.md §9, §13). The analyzers fan out over
+# (nondeterminism, rawgo, mapiter, costcharge, seedflow, hotpathalloc —
+# see DESIGN.md §9, §13). The analyzers fan out over
 # GOMAXPROCS workers by default; `go build` first warms the build cache so
 # hotpathalloc's -gcflags=-m extraction replays compiler diagnostics
 # instead of recompiling, and -stale fails the build on //unetlint:allow

@@ -12,11 +12,8 @@
 //	unetbench -experiment figloss  # goodput/RTT-vs-loss sweep
 //	unetbench -experiment chaos -loss 0.01 -faultseed 7
 //	unetbench -experiment storm -shards 4 -simprof   # window profiler dump
-//	unetbench -experiment storm -shards 4 -simprof -sync barrier
-//	                                   # same storm under the PR 6 barrier
-//	                                   # protocol: compare the sync-wait share
-//	                                   # and per-edge wait ranking against the
-//	                                   # default neighbor protocol
+//	                                   # with sync-wait share and per-edge
+//	                                   # wait ranking
 //	unetbench -experiment serve                      # open-loop serving sweep
 //	unetbench -experiment serve -serveclients 64 -servelogical 16384 -servebursty
 //	unetbench -experiment clos -topo clos2 -racks 8 -perrack 8 -spine 2 -count 4
@@ -40,7 +37,6 @@ import (
 	"time"
 
 	"unet/internal/experiments"
-	"unet/internal/sim"
 )
 
 func main() {
@@ -51,7 +47,6 @@ func main() {
 		count    = flag.Int("count", 200, "messages per bandwidth point")
 		parallel = flag.Int("parallel", 0, "sweep-point workers (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
 		shards   = flag.Int("shards", 0, "shard engines per simulation (0 = serial, <0 = GOMAXPROCS; output is identical either way)")
-		syncMode = flag.String("sync", "neighbor", "sharded synchronization protocol: neighbor or barrier (output is identical either way)")
 		hosts    = flag.Int("hosts", 8, "storm: cluster size")
 		simprof  = flag.Bool("simprof", false, "storm: dump the per-shard window-protocol profile (wall-clock diagnostics)")
 
@@ -76,12 +71,6 @@ func main() {
 	flag.Parse()
 	experiments.MaxParallel = *parallel
 	experiments.Shards = *shards
-	syncKind, ok := sim.ParseSyncKind(*syncMode)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unetbench: unknown -sync %q (have neighbor, barrier)\n", *syncMode)
-		os.Exit(2)
-	}
-	experiments.Sync = syncKind
 
 	sc := experiments.QuickScale()
 	if *paper {
@@ -129,15 +118,15 @@ func main() {
 					fmt.Println("simprof: serial run — no shard group; rerun with -shards ≥ 2")
 					return
 				}
-				fmt.Printf("simprof (sync=%v GOMAXPROCS=%d NumCPU=%d, wall %v):\n%s",
-					syncKind, runtime.GOMAXPROCS(0), runtime.NumCPU(), wall.Round(time.Microsecond), prof)
+				fmt.Printf("simprof (GOMAXPROCS=%d NumCPU=%d, wall %v):\n%s",
+					runtime.GOMAXPROCS(0), runtime.NumCPU(), wall.Round(time.Microsecond), prof)
 				// Sync-wait share: fraction of the shards' aggregate
-				// wall-clock budget spent synchronizing (barrier crossings or
-				// neighbor stalls) rather than simulating.
+				// wall-clock budget spent blocked on a neighbor rather than
+				// simulating.
 				total := prof.Total()
 				share := 100 * float64(total.BarrierWait) / (float64(wall) * float64(len(prof.Shards)))
-				fmt.Printf("sync-wait share: %.1f%% of %d shards × %v wall (sync=%v)\n",
-					share, len(prof.Shards), wall.Round(time.Microsecond), syncKind)
+				fmt.Printf("sync-wait share: %.1f%% of %d shards × %v wall\n",
+					share, len(prof.Shards), wall.Round(time.Microsecond))
 			}
 		},
 		"clos": func() {
@@ -156,7 +145,7 @@ func main() {
 			wall := time.Since(t0)
 			fmt.Print(report)
 			if *simprof && len(prof.Shards) > 0 {
-				fmt.Printf("simprof (sync=%v, wall %v):\n%s", syncKind, wall.Round(time.Microsecond), prof)
+				fmt.Printf("simprof (wall %v):\n%s", wall.Round(time.Microsecond), prof)
 			}
 		},
 		"gossip": func() {
@@ -166,7 +155,6 @@ func main() {
 			}
 			cfg := experiments.DefaultGossip(*islands)
 			cfg.Shards = n
-			cfg.Sync = syncKind
 			t0 := time.Now()
 			res := experiments.Gossip(cfg)
 			wall := time.Since(t0)
@@ -195,7 +183,6 @@ func main() {
 				Duration:       *serveDuration,
 				Bursty:         *serveBursty,
 				Shards:         n,
-				Sync:           syncKind,
 			}
 			report, results := experiments.ServeSweep(base, loads)
 			fmt.Print(report)

@@ -20,7 +20,7 @@ import (
 // RawRTT measures the raw U-Net round-trip time for size-byte messages on
 // an SBA-200 pair (Figure 3, "Raw U-Net").
 func RawRTT(nicp nic.Params, size, rounds int) time.Duration {
-	tb := testbed.New(testbed.Config{Hosts: 2, NIC: &nicp, Shards: shardCount(), Sync: Sync})
+	tb := testbed.New(testbed.Config{Hosts: 2, NIC: &nicp, Shards: shardCount()})
 	defer tb.Close()
 	pr, err := tb.NewPair(0, 1, unet.EndpointConfig{}, 32)
 	if err != nil {
@@ -32,7 +32,7 @@ func RawRTT(nicp nic.Params, size, rounds int) time.Duration {
 // RawBandwidth measures raw U-Net streaming bandwidth (Figure 4, "Raw
 // U-Net").
 func RawBandwidth(nicp nic.Params, size, count int) testbed.StreamResult {
-	tb := testbed.New(testbed.Config{Hosts: 2, NIC: &nicp, Shards: shardCount(), Sync: Sync})
+	tb := testbed.New(testbed.Config{Hosts: 2, NIC: &nicp, Shards: shardCount()})
 	defer tb.Close()
 	pr, err := tb.NewPair(0, 1, unet.EndpointConfig{}, 32)
 	if err != nil {
@@ -43,7 +43,7 @@ func RawBandwidth(nicp nic.Params, size, count int) testbed.StreamResult {
 
 // uamPairTB builds two connected UAM nodes. The caller owns tb.Close.
 func uamPairTB(cfg uam.Config) (*testbed.Testbed, *uam.UAM, *uam.UAM) {
-	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount(), Sync: Sync})
+	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount()})
 	a, err := uam.New(tb.Hosts[0].NewProcess("am"), 0, cfg)
 	if err != nil {
 		panic(err)
@@ -73,7 +73,7 @@ func UAMPingPong(cfg uam.Config, size, rounds int) time.Duration {
 	payload := make([]byte, size)
 	// done crosses hosts — and, when sharded, goroutines. It flips only
 	// after the measurement is complete, so it never perturbs timing.
-	//unetlint:allow rawgo cross-shard completion flag; set once after measurement, ordered by the group's window barriers
+	//unetlint:allow rawgo cross-shard completion flag; set once after measurement, ordered by the group's window protocol
 	var done atomic.Bool
 	gotReply := false
 	b.RegisterHandler(hEcho, func(u *uam.UAM, p *sim.Proc, src int, arg uint32, data []byte) {
@@ -119,7 +119,7 @@ func UAMStoreBandwidth(cfg uam.Config, size, count int) float64 {
 	tb, a, b := uamPairTB(cfg)
 	defer tb.Close()
 	block := make([]byte, size)
-	//unetlint:allow rawgo cross-shard completion flag; set once after measurement, ordered by the group's window barriers
+	//unetlint:allow rawgo cross-shard completion flag; set once after measurement, ordered by the group's window protocol
 	var done atomic.Bool
 	var elapsed time.Duration
 	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
@@ -153,7 +153,7 @@ func UAMStoreBandwidth(cfg uam.Config, size, count int) float64 {
 func UAMGetBandwidth(cfg uam.Config, size, count int) float64 {
 	tb, a, b := uamPairTB(cfg)
 	defer tb.Close()
-	//unetlint:allow rawgo cross-shard completion flag; set once after measurement, ordered by the group's window barriers
+	//unetlint:allow rawgo cross-shard completion flag; set once after measurement, ordered by the group's window protocol
 	var done atomic.Bool
 	var elapsed time.Duration
 	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {

@@ -49,8 +49,13 @@ type GossipConfig struct {
 	FlapDown   time.Duration
 
 	Shards int
-	Sync   sim.SyncKind
-	Seed   int64
+	// Sync is read by nothing: neighbor-synchronized windows are the only
+	// shard protocol.
+	//
+	// Deprecated: sim.SyncKind has the single value sim.SyncNeighbor; leave
+	// the field unset.
+	Sync sim.SyncKind
+	Seed int64
 }
 
 // DefaultGossip returns the standard configuration for n islands: a
@@ -119,7 +124,7 @@ func gossipPeers(h, n int) []int {
 // Gossip runs the island gossip experiment. All mutable protocol state is
 // confined to each host's own process and messages travel only through
 // U-Net channels over the compiled fabric, so the result is byte-identical
-// at every shard count and under both sync protocols.
+// at every shard count.
 func Gossip(cfg GossipConfig) GossipResult {
 	if cfg.PerIsland <= 0 {
 		cfg.PerIsland = 1
@@ -128,7 +133,7 @@ func Gossip(cfg GossipConfig) GossipResult {
 	for j := range spec.Switches {
 		spec.Switches[j].QueueCells = cfg.QueueCells
 	}
-	tb := testbed.New(testbed.Config{Topology: spec, Shards: cfg.Shards, Sync: cfg.Sync, Seed: cfg.Seed})
+	tb := testbed.New(testbed.Config{Topology: spec, Shards: cfg.Shards, Seed: cfg.Seed})
 	defer tb.Close()
 	n := tb.Topo.Size()
 

@@ -71,9 +71,6 @@ type ServeConfig struct {
 	Seed int64
 	// Shards is the testbed shard count (0 = serial).
 	Shards int
-	// Sync selects the sharded synchronization protocol (zero =
-	// sim.SyncNeighbor); results are byte-identical across protocols.
-	Sync sim.SyncKind
 	// Scheduler selects the engine scheduler (default the timer wheel).
 	Scheduler sim.SchedulerKind
 }
@@ -138,7 +135,7 @@ func Serve(cfg ServeConfig) ServeResult {
 	cfg = cfg.withDefaults()
 	nhosts := cfg.ClientHosts + cfg.Servers
 	tb := testbed.New(testbed.Config{
-		Hosts: nhosts, Seed: cfg.Seed, Shards: cfg.Shards, Sync: cfg.Sync,
+		Hosts: nhosts, Seed: cfg.Seed, Shards: cfg.Shards,
 		Scheduler: cfg.Scheduler,
 	})
 	defer tb.Close()

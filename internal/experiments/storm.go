@@ -14,11 +14,11 @@ import (
 // returns the rendered per-host results plus the window-protocol profile
 // of the run. The report is deterministic: it is byte-identical at every
 // shard count (the golden shard sweeps pin this). The profile is a
-// wall-clock diagnostic — windows run, events per window, barrier waits,
+// wall-clock diagnostic — windows run, events per window, sync waits,
 // fast-forwards — and is empty for a serial run; it never feeds virtual
 // time and is not part of any golden output.
 func Storm(hosts, shards, count int) (string, sim.GroupProfile) {
-	tb := testbed.New(testbed.Config{Hosts: hosts, Shards: shards, Sync: Sync})
+	tb := testbed.New(testbed.Config{Hosts: hosts, Shards: shards})
 	defer tb.Close()
 	mesh, err := tb.NewMesh(unet.EndpointConfig{SegmentSize: 1 << 20}, 64)
 	if err != nil {

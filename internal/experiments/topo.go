@@ -15,13 +15,12 @@ import (
 // select the generated shape (see topo.Generate), shard placement follows
 // the topology (each rack with its top-of-rack switch on one shard), and
 // every message crosses the stages of the fabric. The rendering is
-// byte-identical at every shard count and under both sync protocols — the
-// golden topo sweep pins this, extending the single-switch equivalence
-// contract to multi-hop fabrics.
+// byte-identical at every shard count — the golden topo sweep pins this,
+// extending the single-switch equivalence contract to multi-hop fabrics.
 func TopoStorm(kind string, racks, perRack, spine, shards, count int) (string, sim.GroupProfile) {
 	spec, err := topo.Generate(kind, racks, perRack, spine)
 	mustNoErr(err, "generate topology")
-	tb := testbed.New(testbed.Config{Topology: spec, Shards: shards, Sync: Sync})
+	tb := testbed.New(testbed.Config{Topology: spec, Shards: shards})
 	defer tb.Close()
 	mesh, err := tb.NewMesh(unet.EndpointConfig{SegmentSize: 1 << 20}, 64)
 	if err != nil {

@@ -146,14 +146,10 @@ type Link struct {
 	// serialization arithmetic (nextFree, stats, loss) but pushes in-flight
 	// cells into a lock-free SPSC ring instead of the local pend ring; peer
 	// is the receive half in the destination shard, which owns the pend
-	// ring, the delivery machinery and (in barrier mode) the train
-	// grouping. A local link has peer == nil.
+	// ring, the delivery machinery and the train grouping. A local link
+	// has peer == nil.
 	peer *Link
 	ring *sim.SPSC[inflight]
-	// mbox is the group mailbox handle for a tx half: marked pending on
-	// ring pushes so barrier-mode clean rounds can skip the drain phase (a
-	// no-op under the neighbor protocol, where consumers poll the ring).
-	mbox *sim.Mailbox
 }
 
 // NewLink creates a link delivering into sink.
@@ -171,9 +167,10 @@ func NewLink(e *sim.Engine, name string, p LinkParams, sink CellSink) *Link {
 // the transmit half: senders use it exactly like a local link — Send/SendAt
 // serialize against nextFree, Backlog/WaitReady pace the output FIFO, loss
 // applies at the transmitter — but cells in flight cross the shard boundary
-// through a group mailbox drained at window barriers, and the receive half
-// replays them through the standard in-flight ring so delivery times and
-// train grouping are the ones a local link would have produced.
+// through a lock-free ring the receiver drains at its round tops, and the
+// receive half replays them through the standard in-flight ring so
+// delivery times and train grouping are the ones a local link would have
+// produced.
 //
 // The link's latency (CellTime + Propagation) is registered as the
 // src→dst pair lookahead: a cell sent at time t arrives no earlier than
@@ -194,7 +191,7 @@ func NewCrossLink(src, dst *sim.Engine, name string, p LinkParams, sink CellSink
 	peer := &Link{e: dst, name: name, p: p, sink: sink}
 	peer.tsink, _ = sink.(TrainSink)
 	l := &Link{e: src, name: name, p: p, peer: peer, ring: sim.NewSPSC[inflight](256)}
-	l.mbox = g.AddExchangeFrom(src, dst, crossExchange{l})
+	g.AddExchangeFrom(src, dst, crossExchange{l})
 	g.ObserveLookaheadBetween(src, dst, p.CellTime+p.Propagation)
 	return l
 }
@@ -210,47 +207,33 @@ func (l *Link) Engine() *sim.Engine { return l.e }
 func (l *Link) Name() string { return l.name }
 
 // crossExchange moves one cross-shard link's ring traffic into the receive
-// half. It always runs on the destination shard's worker goroutine; the
-// synchronization that orders it after the transmitter's pushes depends on
-// the group's sync protocol, and the exchange implements sim.CrossSource
-// so the neighbor protocol can drive it.
+// half. It runs on the destination shard's worker goroutine at round tops
+// while the transmitter keeps running, so it takes only the published
+// ring entries (Pop); spilled cells stay with the transmitter until it
+// flushes them itself.
 //
-// Both protocols deliver through the same machinery: Drain stages ring
-// entries into the receive half's pend ring and arms the classic delivery
-// event, so arrivals replay with the delivery times, train grouping and
-// same-instant event ordering a local link would have produced —
-// byte-identical across serial, barrier and neighbor runs. The protocols
-// differ only in when Drain runs and what it may take: at a window barrier
-// with the producer stopped, ring and spill alike are safe to move
-// (PopQuiescent); at a neighbor-mode round top the producer keeps running,
-// so only the published ring entries are taken (Pop) and spilled cells
-// stay with the producer until it flushes them itself.
+// Drain stages ring entries into the receive half's pend ring and arms
+// the classic delivery event, so arrivals replay with the delivery times
+// and train grouping a local link would have produced. It delivers every
+// entry at once, ahead of the window horizon: the armed event re-arms for
+// the next cell when it fires, exactly as on a local link.
 type crossExchange struct{ l *Link }
 
-func (x crossExchange) Drain() {
+func (x crossExchange) Drain(time.Duration) (time.Duration, bool) {
 	l := x.l
 	peer := l.peer
-	if l.mbox.Neighbor() {
-		for {
-			f, ok := l.ring.Pop()
-			if !ok {
-				break
-			}
-			peer.push(f)
+	for {
+		f, ok := l.ring.Pop()
+		if !ok {
+			break
 		}
-	} else {
-		for {
-			f, ok := l.ring.PopQuiescent()
-			if !ok {
-				break
-			}
-			peer.push(f)
-		}
+		peer.push(f)
 	}
 	if peer.n > 0 && !peer.armed {
 		peer.armed = true
 		peer.e.AtArg(peer.pend[peer.head].arrive, linkFire, peer)
 	}
+	return 0, false
 }
 
 // Pending reports outstanding ring or spill traffic (any shard).
@@ -352,7 +335,6 @@ func (l *Link) SendAt(c atm.Cell, start time.Duration) time.Duration {
 // delivery event) otherwise.
 func (l *Link) enqueue(c atm.Cell, arrive time.Duration) {
 	if l.peer != nil {
-		l.mbox.MarkPending()
 		l.ring.Push(inflight{c: c, arrive: arrive})
 		return
 	}

@@ -143,9 +143,11 @@ func (s *Switch) TotalQueueDrops() uint64 {
 	return sum
 }
 
-// Route installs (or replaces) the output port for a VCI arriving on input
-// port in. In the paper the collection of operating systems programs switch
-// paths during channel set-up (§3.2); the unet kernel agent calls this.
+// Route installs the output port for a VCI arriving on input port in. In
+// the paper the collection of operating systems programs switch paths
+// during channel set-up (§3.2); the unet kernel agent calls this. An
+// (in, vci) pair that already has an entry is refused: replacing it would
+// silently reroute a live channel.
 func (s *Switch) Route(in int, vci atm.VCI, port int) error {
 	if port < 0 || port >= len(s.out) {
 		return fmt.Errorf("fabric: route %d → invalid port %d", vci, port)
@@ -153,7 +155,11 @@ func (s *Switch) Route(in int, vci atm.VCI, port int) error {
 	if in < 0 || in >= len(s.out) {
 		return fmt.Errorf("fabric: route %d from invalid input port %d", vci, in)
 	}
-	s.routes[routeKey{in: in, vci: vci}] = port
+	k := routeKey{in: in, vci: vci}
+	if cur, ok := s.routes[k]; ok {
+		return fmt.Errorf("fabric: %s: vci %d on input port %d already routes to port %d", s.name, vci, in, cur)
+	}
+	s.routes[k] = port
 	return nil
 }
 

@@ -8,15 +8,11 @@ import (
 	"time"
 )
 
-// Neighbor-synchronized conservative windows (the SyncNeighbor protocol).
-//
-// The barrier protocol in shard.go stops every shard at every round so a
-// leader can fold the global minimum and hand out horizons. That global
-// rendezvous is the dominant cost of dense parallel runs — simprof put it
-// at ~74% of wall time on the 8-host/4-shard storm — and it charges even
-// pairs of shards that never talk. This file replaces it on the common
-// path with Chandy–Misra–Bryant-style point-to-point synchronization
-// specialized to the group's static exchange graph:
+// Neighbor-synchronized conservative windows: the shard group's window
+// protocol, a Chandy–Misra–Bryant-style point-to-point synchronization
+// specialized to the group's static exchange graph. No shard ever stops
+// at a global rendezvous on the common path, and pairs of shards that
+// never talk never wait on each other.
 //
 //   - Every shard i owns a published clock pub[i]: a promise that no
 //     message it has not yet made visible will arrive anywhere before
@@ -24,17 +20,19 @@ import (
 //     with no coordination beyond one atomic store and a wake to its
 //     out-neighbors.
 //   - Shard i's window horizon is computed from its direct in-neighbors
-//     alone: H_i = min over in-edges (pub[j] + L(j→i)). Shards with no
-//     path between them never wait on each other; a sparse topology
-//     synchronizes only where influence can actually flow.
+//     alone: H_i = min over in-edges (pub[j] + L(j→i)), where L(j→i) is
+//     the pair lookahead (ObserveLookaheadBetween). Shards with no path
+//     between them never wait on each other; a sparse topology
+//     synchronizes only where influence can actually flow, and a shard
+//     with no in-edges free-runs to its limit.
 //   - Cross-shard messages travel through lock-free SPSC rings (spsc.go),
 //     pushed at send time by the producing shard and drained by the
-//     destination at its round tops. Delivery happens through the
-//     engine's cross intake (below), which merges ring heads into the
-//     event loop by (arrival time, exchange registration order) — the
-//     same deterministic rule the barrier protocol's drain order
-//     implements, so goldens stay byte-identical across both modes and
-//     every shard count.
+//     destination at its round tops, exchange by exchange in registration
+//     order: arrivals before the horizon become ordinary engine events,
+//     later ones may stay staged until a window reaches them, which orders
+//     staged arrivals that tie on a timestamp by registration order
+//     (CrossSource.Drain). Arrivals merge with local work by (arrival
+//     time, sequence).
 //
 // Safety invariant. When shard i runs a window bounded by H_i, every
 // message that could arrive before H_i is already visible in its intake:
@@ -43,102 +41,31 @@ import (
 // and Go's sequentially-consistent atomics make the publish the release
 // edge), and arrival = send + link latency ≥ send + L(j→i), so a message
 // still invisible after i reads pub[j] has arrival ≥ pub[j] + L(j→i) ≥
-// H_i. A full ring breaks the "pushed at send time" half of this, so a
-// producer with spilled messages caps its published clock at
-// spill-head arrival − L for the affected edge until the spill flushes
+// H_i. Events in i's own heap can only reach i again through another
+// shard's exchange, whose producer's clock already bounds H_i.
+//
+// Spill clamp. A full ring breaks the "pushed at send time" half of the
+// invariant, so a producer with spilled messages caps its published clock
+// at spill-head arrival − L for the affected edge until the spill flushes
 // (SpillBound); the consumer then cannot open a window past the invisible
 // message.
 //
-// Progress. A purely neighbor-driven horizon can creep in lookahead-sized
-// steps across idle stretches (the classic CMB lookahead creep). The
-// escape hatch reuses the group's quiescence machinery: when every shard
-// is simultaneously blocked, the last one to block scans the rings and —
-// if all are empty — folds the global minimum next-event time m. If m is
-// beyond the run limit the group is done; otherwise m becomes gmin, a
-// floor every shard may add its minimum in-edge lookahead to
-// (H_i ≥ gmin + min L(*→i) is safe because any future message for i
-// originates at an event ≥ m). That single fold per idle gap replaces the
-// per-round folds of the barrier protocol and restores the fast-forward
-// behavior across quiet phases.
+// Quiescence floor. A purely neighbor-driven horizon can creep in
+// lookahead-sized steps across idle stretches (the classic CMB lookahead
+// creep). When every shard is simultaneously blocked, the last one to
+// block scans the rings and — if all are empty — folds the global minimum
+// next-event time m. m becomes gmin, a floor every shard may add its
+// minimum in-edge lookahead to (H_i ≥ gmin + min L(*→i) is safe because
+// any future message for i originates at an event ≥ m). That single fold
+// per idle gap restores fast-forwarding across quiet phases.
 //
-// Termination mirrors the same scan: all shards blocked + all rings empty
-// + global minimum beyond the limit ⇒ done flag + wake-all. The scan runs
-// under a mutex off the hot path; the hot path itself crosses no locks —
-// publishes are atomic stores, waits are epoch-counted spins that park on
-// a per-shard condition variable only after a yield budget, exactly like
-// the spin barrier's ladder.
-
-// SyncKind selects the synchronization protocol of a shard group run.
-type SyncKind uint8
-
-const (
-	// SyncNeighbor (the default) runs the neighbor-synchronized window
-	// protocol above: shards coordinate point-to-point over the exchange
-	// graph's edges with no global barrier on the common path. Requires
-	// every exchange to be registered with a known producer
-	// (AddExchangeFrom) and to implement CrossSource; groups that do not
-	// qualify fall back to SyncBarrier behavior for the run.
-	SyncNeighbor SyncKind = iota
-	// SyncBarrier is the PR 6 reference protocol: per-round global
-	// barriers with a leader-folded minimum and per-pair horizon matrix.
-	// Kept as the differential-testing twin — a run under SyncBarrier must
-	// be byte-identical to the same run under SyncNeighbor.
-	SyncBarrier
-)
-
-// String names the sync kind the way unetbench -sync spells it.
-func (k SyncKind) String() string {
-	switch k {
-	case SyncNeighbor:
-		return "neighbor"
-	case SyncBarrier:
-		return "barrier"
-	}
-	return "unknown"
-}
-
-// ParseSyncKind parses unetbench -sync spellings.
-func ParseSyncKind(s string) (SyncKind, bool) {
-	switch s {
-	case "neighbor":
-		return SyncNeighbor, true
-	case "barrier":
-		return SyncBarrier, true
-	}
-	return SyncNeighbor, false
-}
-
-// SetSync selects the synchronization protocol for subsequent Run/RunUntil
-// calls on the group. Must not be called while a run is in progress.
-func (g *Group) SetSync(k SyncKind) { g.sync = k }
-
-// SyncMode reports the configured synchronization protocol.
-func (g *Group) SyncMode() SyncKind { return g.sync }
-
-// CrossSource is the neighbor-mode contract of an exchange: a cross-shard
-// channel whose producer side is a lock-free SPSC ring and whose consumer
-// side stages arrivals into the destination engine as ordinary events.
-//
-// Drain (from Exchange, called only by the destination's worker) moves
-// published ring traffic into consumer-side staging and arms delivery
-// through the destination engine's own event machinery — cross arrivals
-// are just events there, so merge order with local work is the event
-// heap's (timestamp, sequence) order in every sync mode.
-//
-// Producer-shard methods (called only by the source's worker): FlushSpill
-// retries moving spilled messages into the ring; SpillBound reports the
-// arrival time of the oldest still-spilled message, bounding how far the
-// producer may publish.
-//
-// Pending and SpillPending read only atomics and may be called from any
-// shard — the group's quiescence scan uses them.
-type CrossSource interface {
-	Exchange
-	Pending() bool
-	SpillPending() bool
-	FlushSpill() bool
-	SpillBound() (time.Duration, bool)
-}
+// Termination uses the same scan: all shards blocked + all rings empty +
+// global minimum beyond the limit (or absent) ⇒ done flag + wake-all.
+// Progress follows because the shard holding the globally earliest event
+// always has a horizon beyond it once the floor reaches that event. The
+// scan runs under a mutex off the hot path; the hot path itself crosses no
+// locks — publishes are atomic stores, waits are epoch-counted spins that
+// yield and finally park on a per-shard condition variable.
 
 // inEdge is a direct influence edge into a shard: messages from src reach
 // this shard no earlier than pub[src] + la.
@@ -198,35 +125,19 @@ func (g *Group) notifyAll() {
 	}
 }
 
-// neighborCapable reports whether every registered exchange names its
-// producer and implements CrossSource — the preconditions of neighbor
-// mode. Groups with pairless or legacy exchanges run the barrier protocol
-// regardless of the configured SyncKind.
-func (g *Group) neighborCapable() bool {
-	if len(g.shards) < 2 || !g.hasExchanges() {
-		return false
-	}
-	for _, mbs := range g.exchanges {
-		for _, mb := range mbs {
-			if mb.src < 0 {
-				return false
-			}
-			if _, ok := mb.ex.(CrossSource); !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
+// yieldBudget is how many runtime.Gosched rounds a waiter tries after its
+// spin budget before parking. On an oversubscribed machine a yield usually
+// hands the core straight to the shard it waits on, which is far cheaper
+// than a futex sleep/wake pair.
+const yieldBudget = 64
 
-// setupNeighbor builds the per-run neighbor state: the direct edge sets
+// setupNeighbor builds the per-run protocol state: the direct edge sets
 // (deterministically ordered by shard index — no map iteration), published
-// clocks, wake signals, and each destination engine's intake. It also
-// flips every mailbox into neighbor mode, which turns MarkPending into a
-// no-op (ring occupancy replaces the dirty-count protocol).
+// clocks and wake signals. Every registered exchange must carry an
+// observed pair lookahead; without one the protocol has no safe window
+// width and refuses to run.
 func (g *Group) setupNeighbor() {
 	n := len(g.shards)
-	glob := int64(g.lookahead)
 
 	// Direct-edge minimum latency matrix; math.MaxInt64 = no edge. The
 	// consumer horizon and the producer spill cap must agree on each
@@ -238,18 +149,13 @@ func (g *Group) setupNeighbor() {
 			w[i][j] = math.MaxInt64
 		}
 	}
-	for dst, mbs := range g.exchanges {
-		for _, mb := range mbs {
-			ew := glob
-			if d, ok := g.pairLA[pairKey{mb.src, dst}]; ok {
-				ew = int64(d)
-			}
-			if ew <= 0 {
+	for dst, xs := range g.exchanges {
+		for _, x := range xs {
+			d, ok := g.pairLA[pairKey{x.src, dst}]
+			if !ok {
 				panic("sim: shard group has exchanges but no lookahead")
 			}
-			if ew < w[mb.src][dst] {
-				w[mb.src][dst] = ew
-			}
+			w[x.src][dst] = min(w[x.src][dst], int64(d))
 		}
 	}
 
@@ -257,29 +163,19 @@ func (g *Group) setupNeighbor() {
 	g.outEdges = make([][]outEdge, n)
 	g.outNbrs = make([][]int, n)
 	g.minInLA = make([]int64, n)
-	g.inSrcs = make([][]CrossSource, n)
-	g.inSrcIDs = make([][]int, n)
 	for dst := 0; dst < n; dst++ {
-		min := int64(math.MaxInt64)
+		lo := int64(math.MaxInt64)
 		for src := 0; src < n; src++ {
 			if w[src][dst] == math.MaxInt64 {
 				continue
 			}
 			g.inEdges[dst] = append(g.inEdges[dst], inEdge{src: src, la: w[src][dst]})
 			g.outNbrs[src] = append(g.outNbrs[src], dst)
-			if w[src][dst] < min {
-				min = w[src][dst]
-			}
+			lo = min(lo, w[src][dst])
 		}
-		g.minInLA[dst] = min
-		// Consumer-side exchange handles, in registration order — the order
-		// round-top drains stage and arm arrivals, and hence the order
-		// same-instant cross deliveries enter the destination's event heap.
-		for _, mb := range g.exchanges[dst] {
-			cs := mb.ex.(CrossSource)
-			g.inSrcs[dst] = append(g.inSrcs[dst], cs)
-			g.inSrcIDs[dst] = append(g.inSrcIDs[dst], mb.src)
-			g.outEdges[mb.src] = append(g.outEdges[mb.src], outEdge{dst: dst, la: w[mb.src][dst], cs: cs})
+		g.minInLA[dst] = lo
+		for _, x := range g.exchanges[dst] {
+			g.outEdges[x.src] = append(g.outEdges[x.src], outEdge{dst: dst, la: w[x.src][dst], cs: x.cs})
 		}
 	}
 
@@ -290,6 +186,8 @@ func (g *Group) setupNeighbor() {
 			g.sigs[i].cond = sync.NewCond(&g.sigs[i].mu)
 		}
 	}
+	// With a core per shard, spinning through a whole window is cheaper
+	// than any sleep; without, fall through to yielding almost at once.
 	spin := 16
 	if runtime.GOMAXPROCS(0) >= n {
 		spin = 1024
@@ -306,48 +204,26 @@ func (g *Group) setupNeighbor() {
 			g.prof[i].EdgeWait = make([]time.Duration, n)
 		}
 	}
-	for _, mbs := range g.exchanges {
-		for _, mb := range mbs {
-			mb.neighbor = true
-		}
-	}
 }
 
-// setupBarrier reverts neighbor-mode plumbing before a barrier-protocol
-// run. A mailbox leaving neighbor mode is marked pending unconditionally:
-// its ring may hold messages a previous neighbor run left unpublished or
-// undrained beyond its limit, and the barrier protocol only drains marked
-// mailboxes.
-func (g *Group) setupBarrier() {
-	for _, mbs := range g.exchanges {
-		for _, mb := range mbs {
-			if mb.neighbor {
-				mb.neighbor = false
-				mb.MarkPending()
-			}
-		}
-	}
-}
-
-// runShardNeighbor is the per-shard worker loop of the neighbor protocol.
-// Each round: snapshot the wake epoch, compute the horizon from direct
-// in-neighbor clocks (lifted by the quiescence floor when one is set),
-// drain in-rings into the engine as armed delivery events, publish own
-// progress, then either run a window up to the horizon or wait for a
-// neighbor to move.
-func (g *Group) runShardNeighbor(id int, limit time.Duration) {
+// runShard is the per-shard worker loop. Each round: snapshot the wake
+// epoch, compute the horizon from direct in-neighbor clocks (lifted by the
+// quiescence floor when one is set), drain in-rings, delivering the
+// arrivals before the horizon as engine events, publish own progress, then
+// either run a window up to the horizon or wait for a neighbor to move.
+func (g *Group) runShard(id int, limit time.Duration) {
 	e := g.shards[id]
 	prof := &g.prof[id]
 	sig := &g.sigs[id]
 	stop := stopFor(limit)
 	in := g.inEdges[id]
-	srcs := g.inSrcs[id]
-	srcIDs := g.inSrcIDs[id]
+	srcs := g.exchanges[id]
 	out := g.outEdges[id]
 	minIn := g.minInLA[id]
+	held := noEvent // earliest arrival staged by any in-exchange
 	for {
 		if g.ndone.Load() {
-			e.alignNow(limit)
+			e.alignNow(limit, held != noEvent)
 			return
 		}
 		// The epoch snapshot precedes every neighbor-state read below: any
@@ -372,24 +248,34 @@ func (g *Group) runShardNeighbor(id int, limit time.Duration) {
 			}
 		}
 
-		// Move ring traffic into the engine: drains stage published cells
-		// and arm their delivery events, so the heap peek below already
-		// covers cross arrivals. A producer stuck on a full ring is woken so
-		// it can flush the freed space at its next publish point.
-		for i, s := range srcs {
-			if s.Pending() {
-				s.Drain()
+		// Move ring traffic into the engine, exchange by exchange in
+		// registration order: every arrival before h is delivered now,
+		// later ones stay staged until a window reaches them. Every arrival
+		// before h is already visible (the safety invariant), so arrivals
+		// that tie on a timestamp are all delivered in the same round and
+		// merge in registration order. A producer stuck on a full ring is
+		// woken so it can flush the freed space at its next publish point.
+		held = noEvent
+		for i := range srcs {
+			x := &srcs[i]
+			if x.cs.Pending() || x.held < h {
+				x.held = noEvent
+				if next, ok := x.cs.Drain(time.Duration(h)); ok {
+					x.held = int64(next)
+				}
 				prof.Drains++
-				if s.SpillPending() {
-					g.notify(srcIDs[i])
+				if x.cs.SpillPending() {
+					g.notify(x.src)
 				}
 			}
+			held = min(held, x.held)
 		}
 
-		// Earliest pending work, cross arrivals included.
-		t := noEvent
+		// Earliest pending work: the heap, delivered cross arrivals
+		// included, and the staged arrivals.
+		t := held
 		if ev := e.peek(); ev != nil {
-			t = int64(ev.at)
+			t = min(t, int64(ev.at))
 		}
 		g.nextAt[id].Store(t)
 
@@ -507,13 +393,14 @@ func (g *Group) quiescentScan(limit time.Duration) {
 		return
 	}
 	pending := false
-	for dst := range g.inSrcs {
-		for i, s := range g.inSrcs[dst] {
-			if s.Pending() {
+	for dst, xs := range g.exchanges {
+		for i := range xs {
+			x := &xs[i] // not a copy: the consumer owns x.held
+			if x.cs.Pending() {
 				pending = true
 				g.notify(dst)
-				if s.SpillPending() {
-					g.notify(g.inSrcIDs[dst][i])
+				if x.cs.SpillPending() {
+					g.notify(x.src)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,40 +15,57 @@ type shardMsg struct {
 	fn func()
 }
 
-// testMailbox is a minimal cross-shard channel for exercising the window
-// protocol directly: the producer shard appends during its window (marking
-// the mailbox pending), the destination drains at the barrier. Mirrors
-// what fabric's cross links do.
-type testMailbox struct {
-	dst     *Engine
-	mb      *Mailbox
-	pending []shardMsg
+// ringMailbox is a minimal cross-shard channel for exercising the window
+// protocol directly: a CrossSource whose producer side is an SPSC ring,
+// the way fabric's cross links are built. The producer shard pushes timed
+// callbacks as it runs; the destination drains them at its round tops
+// into ordinary engine events, holding back arrivals the destination's
+// window has not reached yet.
+type ringMailbox struct {
+	dst    *Engine
+	ring   *SPSC[shardMsg]
+	staged []shardMsg // popped, not yet delivered (arrival at or past the horizon)
 }
 
-func (m *testMailbox) send(at time.Duration, fn func()) {
-	m.pending = append(m.pending, shardMsg{at: at, fn: fn})
-	m.mb.MarkPending()
+func newRingMailbox(g *Group, src, dst *Engine) *ringMailbox {
+	m := &ringMailbox{dst: dst, ring: NewSPSC[shardMsg](8)}
+	g.AddExchangeFrom(src, dst, m)
+	return m
 }
 
-func (m *testMailbox) Drain() {
-	for _, msg := range m.pending {
-		m.dst.At(msg.at, msg.fn)
+// send is called by the producing shard during its window.
+func (m *ringMailbox) send(at time.Duration, fn func()) {
+	m.ring.Push(shardMsg{at: at, fn: fn})
+}
+
+func (m *ringMailbox) Drain(h time.Duration) (time.Duration, bool) {
+	for {
+		msg, ok := m.ring.Pop()
+		if !ok {
+			break
+		}
+		m.staged = append(m.staged, msg)
 	}
-	m.pending = m.pending[:0]
+	next, held := time.Duration(math.MaxInt64), false
+	kept := m.staged[:0]
+	for _, msg := range m.staged {
+		if msg.at < h {
+			m.dst.At(msg.at, msg.fn)
+			continue
+		}
+		kept = append(kept, msg)
+		next, held = min(next, msg.at), true
+	}
+	m.staged = kept
+	return next, held
 }
 
-func newTestMailbox(g *Group, dst *Engine) *testMailbox {
-	m := &testMailbox{dst: dst}
-	m.mb = g.AddExchange(dst, m)
-	return m
-}
-
-// newTestMailboxFrom registers the mailbox with a known producer so the
-// window protocol can apply the src→dst pair lookahead.
-func newTestMailboxFrom(g *Group, src, dst *Engine) *testMailbox {
-	m := &testMailbox{dst: dst}
-	m.mb = g.AddExchangeFrom(src, dst, m)
-	return m
+func (m *ringMailbox) Pending() bool      { return m.ring.Pending() }
+func (m *ringMailbox) SpillPending() bool { return m.ring.SpillLen() > 0 }
+func (m *ringMailbox) FlushSpill() bool   { return m.ring.FlushSpill() }
+func (m *ringMailbox) SpillBound() (time.Duration, bool) {
+	msg, ok := m.ring.SpillHead()
+	return msg.at, ok
 }
 
 func TestShardGroupIndependentShards(t *testing.T) {
@@ -62,6 +80,11 @@ func TestShardGroupIndependentShards(t *testing.T) {
 	}
 	if end != 9*time.Millisecond {
 		t.Fatalf("Run returned %v, want 9ms (max over shards)", end)
+	}
+	// With no exchanges neither shard ever waits on the other: each runs
+	// its whole event set in one window.
+	if w := root.Group().Profile().Total().Windows; w != 2 {
+		t.Fatalf("independent shards ran %d windows, want 2", w)
 	}
 }
 
@@ -78,27 +101,28 @@ func TestShardEngineRejectsDirectRun(t *testing.T) {
 
 func TestShardCrossTrafficRespectsLookahead(t *testing.T) {
 	// Shard 0 pings shard 1 every 100µs with a 10µs flight time; each ping
-	// triggers a pong back. All deliveries must land at exactly the times a
-	// serial simulation would produce.
-	const flight = 10 * time.Microsecond
+	// triggers a pong back over a faster 3µs path. The two directions carry
+	// different pair lookaheads, and every delivery must land at exactly
+	// the time a serial simulation would produce.
+	const there, back = 10 * time.Microsecond, 3 * time.Microsecond
 	root := New(1)
 	s1 := root.NewShard(2)
 	g := root.Group()
-	toS1 := newTestMailbox(g, s1)
-	toRoot := newTestMailbox(g, root)
-	g.ObserveLookahead(flight)
+	toS1 := newRingMailbox(g, root, s1)
+	toRoot := newRingMailbox(g, s1, root)
+	g.ObserveLookaheadBetween(root, s1, there)
+	g.ObserveLookaheadBetween(s1, root, back)
 
 	var pings, pongs []time.Duration
 	var pongBack func()
 	pongBack = func() {
 		pings = append(pings, s1.Now())
-		now := s1.Now()
-		toRoot.send(now+flight, func() { pongs = append(pongs, root.Now()) })
+		toRoot.send(s1.Now()+back, func() { pongs = append(pongs, root.Now()) })
 	}
 	for i := 1; i <= 50; i++ {
 		at := time.Duration(i) * 100 * time.Microsecond
 		fire := at // capture
-		root.At(at, func() { toS1.send(fire+flight, pongBack) })
+		root.At(at, func() { toS1.send(fire+there, pongBack) })
 	}
 	root.Run()
 
@@ -107,11 +131,11 @@ func TestShardCrossTrafficRespectsLookahead(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		at := time.Duration(i+1) * 100 * time.Microsecond
-		if pings[i] != at+flight {
-			t.Fatalf("ping %d at %v, want %v", i, pings[i], at+flight)
+		if pings[i] != at+there {
+			t.Fatalf("ping %d at %v, want %v", i, pings[i], at+there)
 		}
-		if pongs[i] != at+2*flight {
-			t.Fatalf("pong %d at %v, want %v", i, pongs[i], at+2*flight)
+		if pongs[i] != at+there+back {
+			t.Fatalf("pong %d at %v, want %v", i, pongs[i], at+there+back)
 		}
 	}
 }
@@ -126,9 +150,10 @@ func TestShardSameTimestampMergeIsRegistrationOrder(t *testing.T) {
 		a := root.NewShard(2)
 		b := root.NewShard(3)
 		g := root.Group()
-		fromA := newTestMailbox(g, root)
-		fromB := newTestMailbox(g, root)
-		g.ObserveLookahead(flight)
+		fromA := newRingMailbox(g, a, root)
+		fromB := newRingMailbox(g, b, root)
+		g.ObserveLookaheadBetween(a, root, flight)
+		g.ObserveLookaheadBetween(b, root, flight)
 
 		var order []int
 		for i := 0; i < 20; i++ {
@@ -183,15 +208,16 @@ func TestShardRunUntilClockSemantics(t *testing.T) {
 }
 
 func TestShardPanicAborts(t *testing.T) {
+	// One-way traffic: s1 has an in-edge from the root but nothing flows
+	// back, so the root free-runs while s1 paces behind it. The failure
+	// must still unwind both and carry the original message.
 	root := New(1)
 	s1 := root.NewShard(2)
 	g := root.Group()
-	newTestMailbox(g, s1)
-	g.ObserveLookahead(time.Microsecond)
-	// Keep both shards busy so the healthy one is parked at a barrier when
-	// the other dies.
+	toS1 := newRingMailbox(g, root, s1)
+	g.ObserveLookaheadBetween(root, s1, time.Microsecond)
 	for i := 1; i <= 100; i++ {
-		root.At(time.Duration(i)*time.Microsecond, func() {})
+		root.At(time.Duration(i)*time.Microsecond, func() { toS1.send(root.Now()+time.Microsecond, func() {}) })
 		s1.At(time.Duration(i)*time.Microsecond, func() {})
 	}
 	s1.At(50*time.Microsecond, func() { panic("injected shard failure") })
@@ -233,14 +259,6 @@ func TestShardLookaheadValidation(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("ObserveLookahead(0) did not panic")
-			}
-		}()
-		g.ObserveLookahead(0)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
 				t.Error("ObserveLookaheadBetween(0) did not panic")
 			}
 		}()
@@ -256,7 +274,7 @@ func TestShardLookaheadValidation(t *testing.T) {
 	}()
 	// Exchanges registered but no lookahead observed: the window protocol
 	// has no safe width and must refuse to run.
-	newTestMailbox(g, s1)
+	newRingMailbox(g, root, s1)
 	defer func() {
 		if recover() == nil {
 			t.Error("run with exchanges but no lookahead did not panic")
@@ -266,14 +284,14 @@ func TestShardLookaheadValidation(t *testing.T) {
 }
 
 func TestShardPairLookaheadValidation(t *testing.T) {
-	// A pair-registered exchange whose pair never observed a lookahead (and
-	// no global floor exists) must refuse to run too.
+	// An exchange whose pair never observed a lookahead must refuse to run
+	// even when other pairs did.
 	root := New(1)
 	s1 := root.NewShard(2)
 	s2 := root.NewShard(3)
 	g := root.Group()
 	g.ObserveLookaheadBetween(root, s1, time.Microsecond)
-	newTestMailboxFrom(g, s2, root) // s2→root has no observed bound
+	newRingMailbox(g, s2, root) // s2→root has no observed bound
 	defer func() {
 		if recover() == nil {
 			t.Error("run with an unbounded pair exchange did not panic")
@@ -284,21 +302,21 @@ func TestShardPairLookaheadValidation(t *testing.T) {
 
 func TestShardPerPairWiderThanGlobalMin(t *testing.T) {
 	// Shards r and s2 exchange pings over slow 100µs links, while a third
-	// shard s1 sits on fast 1µs links but stays silent. The old protocol
-	// would clamp every window to the global minimum (1µs) and grind ~100
-	// rounds per ping; per-pair lookahead must bound r and s2 only by the
-	// 100µs paths that can actually reach them.
+	// shard s1 has fast 1µs observations but no channel at all. A global
+	// window would clamp every shard to the minimum (1µs) and grind ~100
+	// rounds per ping; the window protocol must bound r and s2 only by the
+	// 100µs edges that can actually reach them.
 	const slow = 100 * time.Microsecond
 	const fast = time.Microsecond
 	root := New(1)
 	s1 := root.NewShard(2)
 	s2 := root.NewShard(3)
 	g := root.Group()
-	toS2 := newTestMailboxFrom(g, root, s2)
-	toRoot := newTestMailboxFrom(g, s2, root)
+	toS2 := newRingMailbox(g, root, s2)
+	toRoot := newRingMailbox(g, s2, root)
 	g.ObserveLookaheadBetween(root, s2, slow)
 	g.ObserveLookaheadBetween(s2, root, slow)
-	// The fast pair contributes only observations, no traffic.
+	// The fast pair contributes only observations, no channel.
 	g.ObserveLookaheadBetween(root, s1, fast)
 	g.ObserveLookaheadBetween(s1, root, fast)
 	if g.Lookahead() != fast {
@@ -331,47 +349,14 @@ func TestShardPerPairWiderThanGlobalMin(t *testing.T) {
 
 	prof := g.Profile()
 	total := prof.Total()
-	// 10 pings over 2ms of virtual time: the old global-min protocol needed
-	// a window per 1µs of progress (thousands of rounds). With per-pair
-	// horizons each ping leg is a handful of rounds.
+	// 10 pings over 2ms of virtual time: a 1µs global window needs a round
+	// per 1µs of progress (thousands). With per-pair horizons each ping leg
+	// is a handful of rounds.
 	perShard := total.Windows / uint64(len(prof.Shards))
 	if perShard > 200 {
 		t.Fatalf("ran %d rounds per shard; per-pair lookahead should need far fewer than the ~2000 a 1µs global window implies", perShard)
 	}
-	if total.FastForwards == 0 {
-		t.Fatal("no window ever fast-forwarded past the legacy global-min horizon")
-	}
 	if total.Events == 0 || total.Drains == 0 {
 		t.Fatalf("profile did not record work: %+v", total)
-	}
-}
-
-func TestShardProfileFusedBarriers(t *testing.T) {
-	// Two shards with traffic only in the first half of the run: rounds
-	// after the traffic dies must fuse to a single barrier (no mailbox
-	// pending), and idle stretches must fast-forward.
-	root := New(1)
-	s1 := root.NewShard(2)
-	g := root.Group()
-	to1 := newTestMailboxFrom(g, root, s1)
-	g.ObserveLookaheadBetween(root, s1, 10*time.Microsecond)
-	g.ObserveLookaheadBetween(s1, root, 10*time.Microsecond)
-	hits := 0
-	root.At(50*time.Microsecond, func() { to1.send(root.Now()+10*time.Microsecond, func() { hits++ }) })
-	// Purely local events afterwards — no cross traffic, so every remaining
-	// round crosses one fused barrier.
-	for i := 1; i <= 20; i++ {
-		s1.At(time.Duration(i)*time.Millisecond, func() {})
-	}
-	root.Run()
-	if hits != 1 {
-		t.Fatalf("cross message fired %d times, want 1", hits)
-	}
-	p := g.Profile().Total()
-	if p.FusedBarriers == 0 {
-		t.Fatalf("no round fused its barrier: %+v", p)
-	}
-	if p.Drains != 1 {
-		t.Fatalf("drains = %d, want exactly 1 (one pending mailbox, drained once)", p.Drains)
 	}
 }

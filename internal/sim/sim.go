@@ -357,7 +357,7 @@ func (e *Engine) RunUntil(limit time.Duration) time.Duration {
 		return e.group.run(limit)
 	}
 	e.runWindow(stopFor(limit))
-	e.alignNow(limit)
+	e.alignNow(limit, false)
 	return e.now
 }
 

@@ -37,11 +37,11 @@ type Config struct {
 	// each run on its own goroutine under the conservative window protocol
 	// (see internal/sim shard.go). Results are byte-identical to serial.
 	Shards int
-	// Sync selects the sharded synchronization protocol (the zero value is
-	// sim.SyncNeighbor; sim.SyncBarrier selects the PR 6 reference
-	// protocol). Results are byte-identical across both, at every shard
-	// count — that equivalence is what TestGoldenSyncSweep pins. Ignored
-	// for serial layouts.
+	// Sync is read by nothing: neighbor-synchronized windows are the only
+	// shard protocol.
+	//
+	// Deprecated: sim.SyncKind has the single value sim.SyncNeighbor; leave
+	// the field unset.
 	Sync sim.SyncKind
 	// Faults applies a deterministic impairment plan (internal/faults) to
 	// every uplink and downlink and, if SwitchQueueCells is set, bounds the
@@ -59,7 +59,7 @@ type Config struct {
 	// from the spec, shard placement is topology-aware (each top-of-rack
 	// switch with its hosts on one shard, higher stages on the root
 	// engine), and routes become multi-hop. Everything else — NIC model,
-	// manager, fault plans, sync protocol — applies unchanged.
+	// manager, fault plans — applies unchanged.
 	Topology *topo.Spec
 }
 
@@ -146,7 +146,6 @@ func New(cfg Config) *Testbed {
 					swEng[i] = shardEng[s]
 				}
 			}
-			e.Group().SetSync(cfg.Sync)
 		}
 		tb.Topo = topo.MustCompile(e, spec, hostEng, swEng)
 		tb.Net = tb.Topo
@@ -163,7 +162,6 @@ func New(cfg Config) *Testbed {
 			for i := range hostEng {
 				hostEng[i] = shardEng[i%k]
 			}
-			e.Group().SetSync(cfg.Sync)
 		}
 		tb.Fabric = fabric.NewShardedCluster(e, "atm", hostEng, link, cfg.SwitchLatency)
 		tb.Net = tb.Fabric
@@ -233,7 +231,7 @@ func (tb *Testbed) Close() { tb.Eng.Shutdown() }
 // (the root plus any shards). For a fixed shard layout the total is
 // scheduler-invariant — the heap and wheel engines execute exactly the same
 // events — but it can differ by a handful across layouts, because
-// cross-shard links re-arm their delivery events per mailbox drain rather
+// cross-shard links re-arm their delivery events per ring drain rather
 // than per cell. Virtual-time results are identical regardless; treat this
 // as a volume diagnostic, not a golden quantity across shard counts.
 func (tb *Testbed) TotalSteps() uint64 {

@@ -357,8 +357,15 @@ func (f *Fabric) SetHostSink(host int, s fabric.CellSink) { f.hostSinks[host] = 
 // port entry, so the channel remains protected stage by stage — a cell
 // can only follow the route if it entered at the provisioned port of the
 // first switch, exactly §3.2's carefully-controlled route set-up
-// stretched across stages.
-func (f *Fabric) Route(from int, vci atm.VCI, to int) error {
+// stretched across stages. Route is all-or-nothing: when a stage fails,
+// the stages already installed are removed again.
+func (f *Fabric) Route(from int, vci atm.VCI, to int) (err error) {
+	hops := 0
+	defer func() {
+		if err != nil {
+			f.unroute(from, vci, hops)
+		}
+	}()
 	sw, in := f.hostSw[from], f.hostPort[from]
 	dst := f.hostSw[to]
 	for sw != dst {
@@ -369,6 +376,7 @@ func (f *Fabric) Route(from int, vci atm.VCI, to int) error {
 		if err := f.Switches[sw].Route(in, vci, out); err != nil {
 			return err
 		}
+		hops++
 		k := out - len(f.hostAt[sw])
 		sw, in = f.peerSw[sw][k], f.peerPort[sw][k]
 	}
@@ -378,9 +386,14 @@ func (f *Fabric) Route(from int, vci atm.VCI, to int) error {
 // Unroute removes a multi-hop route again (channel tear-down), walking
 // the same path Route installed. The destination is recovered from the
 // installed entries themselves: each stage's table names the next.
-func (f *Fabric) Unroute(from int, vci atm.VCI) {
+func (f *Fabric) Unroute(from int, vci atm.VCI) { f.unroute(from, vci, -1) }
+
+// unroute removes the first n stage entries of from's vci route (all of
+// them when n < 0). A half-installed route must pass its installed stage
+// count: the entry at the stage after it belongs to another channel.
+func (f *Fabric) unroute(from int, vci atm.VCI, n int) {
 	sw, in := f.hostSw[from], f.hostPort[from]
-	for {
+	for ; n != 0; n-- {
 		out, ok := f.Switches[sw].Lookup(in, vci)
 		f.Switches[sw].Unroute(in, vci)
 		if !ok || out < len(f.hostAt[sw]) {

@@ -28,7 +28,7 @@ import (
 // trunk: tens of rows of machine room rather than tens of meters of rack,
 // an order of magnitude beyond fabric.DefaultPropagation. Wide trunk
 // latency is what buys the shard protocol wide windows on the sparse
-// inter-rack edges — the per-pair lookahead matrix is derived from it.
+// inter-rack edges — the per-pair lookahead is derived from it.
 const DefaultTrunkPropagation = 2 * time.Microsecond
 
 // HostSpec attaches one host to a switch.

@@ -191,6 +191,56 @@ func TestRouteInstallsPerStageEntries(t *testing.T) {
 	}
 }
 
+func TestRouteRollsBackPartialPath(t *testing.T) {
+	e := sim.New(1)
+	f := MustCompile(e, Clos3(2, 2, 1, 2), nil, nil)
+	from, to := 0, f.Size()-1
+	// Learn the (switch, input port) stages of the 5-switch path, then
+	// give its last stage to another channel: the next Route of vci 50
+	// installs four stages and fails on the fifth.
+	if err := f.Route(from, 50, to); err != nil {
+		t.Fatal(err)
+	}
+	type stage struct{ sw, in int }
+	var stages []stage
+	sw, in := f.hostSw[from], f.hostPort[from]
+	for {
+		stages = append(stages, stage{sw, in})
+		out, _ := f.Switches[sw].Lookup(in, 50)
+		if out < len(f.hostAt[sw]) {
+			break
+		}
+		k := out - len(f.hostAt[sw])
+		sw, in = f.peerSw[sw][k], f.peerPort[sw][k]
+	}
+	if len(stages) != 5 {
+		t.Fatalf("path has %d stages, want 5", len(stages))
+	}
+	f.Unroute(from, 50)
+	last := stages[len(stages)-1]
+	if err := f.Switches[last.sw].Route(last.in, 50, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := f.Route(from, 50, to); err == nil {
+		t.Fatal("Route replaced another channel's entry instead of failing")
+	}
+	for j := range f.Switches {
+		for p := 0; p < f.Switches[j].Ports(); p++ {
+			out, ok := f.Switches[j].Lookup(p, 50)
+			if !ok {
+				continue
+			}
+			if j != last.sw || p != last.in || out != 0 {
+				t.Fatalf("switch %d port %d routes vci 50 to port %d after the failed Route", j, p, out)
+			}
+		}
+	}
+	if _, ok := f.Switches[last.sw].Lookup(last.in, 50); !ok {
+		t.Fatal("the rollback removed the other channel's entry")
+	}
+}
+
 func TestForwardingSpreadsSpines(t *testing.T) {
 	spec := Clos2(4, 1, 4)
 	f := MustCompile(sim.New(1), spec, nil, nil)

@@ -401,6 +401,10 @@ func (ep *Endpoint) registerChannel(tx, rx atm.VCI) ChannelID {
 	return ChannelID(len(ep.chans) - 1)
 }
 
+// dropChannel undoes a registerChannel of a set-up that failed. Set-ups
+// undo their registrations newest first, so ch is always the last entry.
+func (ep *Endpoint) dropChannel(ch ChannelID) { ep.chans = ep.chans[:ch] }
+
 func (ep *Endpoint) closeChannel(ch ChannelID) {
 	if int(ch) >= 0 && int(ch) < len(ep.chans) {
 		ep.chans[ch].open = false

@@ -33,4 +33,8 @@ var (
 	// ErrNoDevice reports an operation on a host with no attached network
 	// interface.
 	ErrNoDevice = errors.New("unet: host has no attached network interface")
+	// ErrVCIExhausted reports that the manager has handed out every VCI
+	// from 32 to 65535. VCIs are allocated fabric-wide and are not reused
+	// after Disconnect.
+	ErrVCIExhausted = errors.New("unet: VCI space exhausted")
 )

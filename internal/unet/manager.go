@@ -2,6 +2,7 @@ package unet
 
 import (
 	"fmt"
+	"math"
 
 	"unet/internal/atm"
 	"unet/internal/fabric"
@@ -53,7 +54,8 @@ type Channel struct {
 // endpoints (§3.2, §4.2.2: "the tags used for the ATM network consist of a
 // VCI pair"). It allocates the two one-way VCIs, programs the switch
 // routes, and registers the tag pair with both devices. The cost of the
-// two system calls is charged to p.
+// two system calls is charged to p. Connect is all-or-nothing: on error no
+// route, device registration or endpoint channel of the attempt remains.
 func (m *Manager) Connect(p *sim.Proc, a, b *Endpoint) (*Channel, error) {
 	if a.closed || b.closed {
 		return nil, ErrClosed
@@ -66,8 +68,10 @@ func (m *Manager) Connect(p *sim.Proc, a, b *Endpoint) (*Channel, error) {
 	charge(p, a.host.Params.Syscall)
 	charge(p, b.host.Params.Syscall)
 
-	vAB := m.allocVCI()
-	vBA := m.allocVCI()
+	vAB, vBA, err := m.allocVCIPair()
+	if err != nil {
+		return nil, err
+	}
 	// Routes are provisioned per input port: vAB is only valid arriving
 	// from A's port, vBA only from B's — no third host can inject cells
 	// on this channel (§3.2).
@@ -75,14 +79,22 @@ func (m *Manager) Connect(p *sim.Proc, a, b *Endpoint) (*Channel, error) {
 		return nil, err
 	}
 	if err := m.cluster.Route(portB, vBA, portA); err != nil {
+		m.cluster.Unroute(portA, vAB)
 		return nil, err
 	}
 	chA := a.registerChannel(vAB, vBA)
 	chB := b.registerChannel(vBA, vAB)
-	if err := a.host.dev.OpenChannel(a, chA, vAB, vBA); err != nil {
-		return nil, err
+	err = a.host.dev.OpenChannel(a, chA, vAB, vBA)
+	if err == nil {
+		if err = b.host.dev.OpenChannel(b, chB, vBA, vAB); err != nil {
+			a.host.dev.CloseChannel(a, chA)
+		}
 	}
-	if err := b.host.dev.OpenChannel(b, chB, vBA, vAB); err != nil {
+	if err != nil {
+		b.dropChannel(chB)
+		a.dropChannel(chA)
+		m.cluster.Unroute(portB, vBA)
+		m.cluster.Unroute(portA, vAB)
 		return nil, err
 	}
 	return &Channel{A: a, B: b, AtoB: vAB, BtoA: vBA, ChanA: chA, ChanB: chB}, nil
@@ -103,8 +115,15 @@ func (m *Manager) Disconnect(p *sim.Proc, ch *Channel) {
 	m.cluster.Unroute(portB, ch.BtoA)
 }
 
-func (m *Manager) allocVCI() atm.VCI {
+// allocVCIPair hands out the next two VCIs from the fabric-wide counter.
+// It fails with ErrVCIExhausted rather than let the counter wrap into the
+// reserved range and onto live channels; VCIs are not reused after
+// Disconnect.
+func (m *Manager) allocVCIPair() (atm.VCI, atm.VCI, error) {
 	v := m.nextVCI
-	m.nextVCI++
-	return v
+	if v < firstUserVCI || v == math.MaxUint16 {
+		return 0, 0, ErrVCIExhausted
+	}
+	m.nextVCI += 2
+	return v, v + 1, nil
 }

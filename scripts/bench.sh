@@ -2,10 +2,10 @@
 # bench.sh — the PR-gate performance run.
 #
 # 1. Tier-1: build + full test suite (the calibration gates).
-# 2. Race check on the simulation kernel (incl. both shard sync
-#    protocols), the fabric, the NIC models and the parallel sweep pool,
+# 2. Race check on the simulation kernel (incl. the shard window
+#    protocol), the fabric, the NIC models and the parallel sweep pool,
 #    plus the sharded golden checks (byte-identical output at every shard
-#    count and under both sync protocols).
+#    count).
 # 3. Steady-state allocation gate: the data path must move messages with
 #    zero allocations per round trip (DESIGN.md §10).
 # 4. Fault-injection gates: the seeded loss sweep and chaos soak are
@@ -16,8 +16,7 @@
 #    edge-case suite and the scheduler steady-state allocation gate
 #    (DESIGN.md §12).
 # 6. Multi-switch fabric gates (DESIGN.md §15): the Clos storm goldens
-#    render byte-identically serial vs shards 1/2/4/8 under both sync
-#    protocols, and the 1k-endpoint island gossip removes failed
+#    render byte-identically serial vs shards 1/2/4/8, and the 1k-endpoint island gossip removes failed
 #    neighbors deterministically at every shard count.
 # 7. Microbenchmarks (engine, scheduler heap-vs-wheel at 1k/100k/1M
 #    pending, fabric), the zero-alloc echo/UAM round trips, the
@@ -27,11 +26,9 @@
 #    open-loop serve workload, all
 #    with -benchmem, saved as benchstat-compatible text and summarized
 #    into the output JSON. Every JSON entry records the GOMAXPROCS it ran
-#    at, the machine's CPU count and its sync protocol ("serial" when no
-#    shard group exists); the sharded storm/serve shapes run as
-#    sub-benchmarks under both sync protocols (sync=neighbor,
-#    sync=barrier) and carry their shard count and sync-wait share, and
-#    topology shapes tag their topo kind, host/switch count and stage
+#    at and the machine's CPU count; the sharded storm/serve shapes carry
+#    their shard count and sync-wait share, and topology shapes tag their
+#    topo kind, host/switch count and stage
 #    count, so a single-core artifact can never be misread as a
 #    multi-core regression. The storm runs with UNET_BENCH_OVERSUB=1 so
 #    oversubscribed shapes are still recorded (they skip by default under
@@ -54,7 +51,7 @@ go test -race ./internal/fabric/...
 go test -race ./internal/nic/...
 GOMAXPROCS=4 go test -race -run 'Golden' ./internal/experiments/
 
-echo "== sharded golden checks (byte-identical at every shard count, both sync protocols)" >&2
+echo "== sharded golden checks (byte-identical at every shard count)" >&2
 GOMAXPROCS=4 go test -run 'TestGoldenShardSweep|TestGoldenSyncSweep' ./internal/experiments/
 go test -run 'TestSharded' ./internal/testbed/
 
