@@ -79,7 +79,8 @@ gossip:
 	GOMAXPROCS=4 $(GO) test -run 'TestGossipDeterministic' -v ./internal/experiments/
 	$(GO) run ./cmd/unetbench -experiment gossip -islands 256 -shards 4
 
-# lint runs go vet plus unetlint, the repo's own determinism analyzers
+# lint runs the gofmt gate (listing any unformatted file, failing if there
+# is one), go vet, and unetlint, the repo's own determinism analyzers
 # (nondeterminism, rawgo, mapiter, costcharge, seedflow, hotpathalloc —
 # see DESIGN.md §9, §13). The analyzers fan out over
 # GOMAXPROCS workers by default; `go build` first warms the build cache so
@@ -87,6 +88,8 @@ gossip:
 # instead of recompiling, and -stale fails the build on //unetlint:allow
 # directives that no longer suppress anything.
 lint: build
+	gofmt -l .
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/unetlint -stale ./...
 

@@ -4,16 +4,20 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
+	"strings"
 )
 
 // RawGo flags concurrency primitives — go statements, channels, select,
-// and the sync/sync.atomic packages — in simulation packages outside
-// internal/sim. The shard runtime (sim.Group) is the only place OS-level
-// concurrency may touch a simulation: it alone guarantees, via the
-// conservative time-window protocol, that parallel execution merges into
-// the exact event order a serial run would produce. A goroutine or channel
-// anywhere else in the models introduces OS-scheduler ordering into
-// simulated behavior.
+// and the sync/sync.atomic packages — in simulation code outside the
+// shard runtime. The shard runtime (sim.Group, in the internal/sim files
+// listed in shardRuntimeFiles) is the only place OS-level concurrency may
+// touch a simulation: it alone guarantees, via the conservative
+// time-window protocol, that parallel execution merges into the exact
+// event order a serial run would produce. A goroutine or channel anywhere
+// else in the models introduces OS-scheduler ordering into simulated
+// behavior. The rest of internal/sim, whose processes are coroutines, is
+// held to the same rule; only the sim package's own tests are exempt.
 //
 // The check is syntactic over whole files, so goroutines launched from
 // deferred closures, function literals stored in struct fields, and
@@ -29,6 +33,10 @@ var RawGo = &Analyzer{
 	Run:  runRawGo,
 }
 
+// shardRuntimeFiles are the internal/sim files that implement the shard
+// runtime: the group run loop, the window protocol and its SPSC rings.
+var shardRuntimeFiles = map[string]bool{"shard.go": true, "neighbor.go": true, "spsc.go": true}
+
 // bannedRuntimeFuncs are runtime package calls that manipulate the OS
 // scheduler from model code.
 var bannedRuntimeFuncs = map[string]bool{
@@ -41,10 +49,14 @@ var bannedRuntimeFuncs = map[string]bool{
 }
 
 func runRawGo(pass *Pass) {
-	if !inSimScope(pass.Unit.PkgPath) || simSegment(pass.Unit.PkgPath) == "sim" {
+	if !inSimScope(pass.Unit.PkgPath) {
 		return
 	}
 	for _, f := range pass.Unit.Files {
+		name := filepath.Base(pass.Unit.Fset.File(f.Pos()).Name())
+		if simSegment(pass.Unit.PkgPath) == "sim" && (shardRuntimeFiles[name] || strings.HasSuffix(name, "_test.go")) {
+			continue
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:

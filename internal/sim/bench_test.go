@@ -170,9 +170,13 @@ func benchSchedulerCancel(b *testing.B, kind SchedulerKind, pending int) {
 	}
 }
 
-func BenchmarkSchedulerCancel_Heap1k(b *testing.B)    { benchSchedulerCancel(b, SchedulerHeap, 1_000) }
-func BenchmarkSchedulerCancel_Wheel1k(b *testing.B)   { benchSchedulerCancel(b, SchedulerWheel, 1_000) }
-func BenchmarkSchedulerCancel_Heap100k(b *testing.B)  { benchSchedulerCancel(b, SchedulerHeap, 100_000) }
-func BenchmarkSchedulerCancel_Wheel100k(b *testing.B) { benchSchedulerCancel(b, SchedulerWheel, 100_000) }
-func BenchmarkSchedulerCancel_Heap1M(b *testing.B)    { benchSchedulerCancel(b, SchedulerHeap, 1_000_000) }
-func BenchmarkSchedulerCancel_Wheel1M(b *testing.B)   { benchSchedulerCancel(b, SchedulerWheel, 1_000_000) }
+func BenchmarkSchedulerCancel_Heap1k(b *testing.B)   { benchSchedulerCancel(b, SchedulerHeap, 1_000) }
+func BenchmarkSchedulerCancel_Wheel1k(b *testing.B)  { benchSchedulerCancel(b, SchedulerWheel, 1_000) }
+func BenchmarkSchedulerCancel_Heap100k(b *testing.B) { benchSchedulerCancel(b, SchedulerHeap, 100_000) }
+func BenchmarkSchedulerCancel_Wheel100k(b *testing.B) {
+	benchSchedulerCancel(b, SchedulerWheel, 100_000)
+}
+func BenchmarkSchedulerCancel_Heap1M(b *testing.B) { benchSchedulerCancel(b, SchedulerHeap, 1_000_000) }
+func BenchmarkSchedulerCancel_Wheel1M(b *testing.B) {
+	benchSchedulerCancel(b, SchedulerWheel, 1_000_000)
+}

@@ -1,21 +1,32 @@
+//go:build go1.23
+
+// The build constraint raises this file's language version above go.mod's
+// go 1.22 for iter.Pull (Go 1.23), which go vet's stdversion check would
+// otherwise reject. go.mod stays at 1.22 because perfbench builds this
+// module with -mod=mod, which would then rewrite perfbench/go.mod.
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
 // Proc is a simulated process: application code that consumes virtual time
-// via Sleep and blocks on Conds and FIFOs. A Proc's function runs on a
-// dedicated goroutine, but the engine guarantees that at most one process
-// executes at a time, so simulated code needs no locking.
+// via Sleep and blocks on Conds and FIFOs. A Proc's function runs as a
+// coroutine (iter.Pull), not as an independently scheduled goroutine: the
+// goroutine driving the engine switches straight into it and back, so at
+// most one process executes at a time and simulated code needs no locking.
 type Proc struct {
-	e       *Engine
-	name    string
-	resume  chan struct{}
-	started bool
-	done    bool
-	killed  bool
+	e    *Engine
+	name string
+	// next runs the coroutine until the process parks or finishes and stop
+	// unwinds it (both nil until the process starts); park calls yield.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	done  bool
 	// w is the process's reusable condition-wait record. A blocked process
 	// waits on exactly one condition, so one embedded record (instead of an
 	// allocation per Wait) suffices; WaitTimeout cancels its timer on a
@@ -26,29 +37,36 @@ type Proc struct {
 // procKilled is the panic payload used to unwind a process during Shutdown.
 type procKilled struct{}
 
-// top is the goroutine entry point wrapping the user function.
+// start creates p's coroutine and runs it to its first park.
+func (p *Proc) start(fn func(*Proc)) {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.top(fn)
+	})
+	p.e.transfer(p)
+}
+
+// top is the coroutine body wrapping the user function. A panic other than
+// the Shutdown unwind is re-raised with the process's name; iter.Pull
+// carries it out of next onto the goroutine driving the engine.
 func (p *Proc) top(fn func(*Proc)) {
 	defer func() {
 		p.done = true
 		if r := recover(); r != nil {
 			if _, ok := r.(procKilled); !ok {
-				// Re-panic on the engine side would deadlock the handshake;
-				// deliver the panic on this goroutine with context instead.
-				p.e.parked <- struct{}{}
 				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 			}
 		}
-		p.e.parked <- struct{}{}
 	}()
 	fn(p)
 }
 
-// park blocks the process until the engine transfers control back. It is
+// park suspends the process until the engine transfers control back. It is
 // the single suspension point; every blocking primitive funnels through it.
+// yield reports false once Shutdown has stopped the coroutine, and the
+// procKilled panic then unwinds the process, running its deferred cleanup.
 func (p *Proc) park() {
-	p.e.parked <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) { //unetlint:allow hotpathalloc the coroutine switch itself; TestSteadyStateAllocs* and TestSchedulerSteadyStateAllocs prove the park/resume path allocation-free at run time
 		panic(procKilled{})
 	}
 }

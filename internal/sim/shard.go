@@ -217,14 +217,10 @@ func (g *Group) run(limit time.Duration) time.Duration {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			defer g.abortOnPanic()
-			g.runShard(id, limit)
+			g.runShardOrAbort(id, limit)
 		}(id)
 	}
-	func() {
-		defer g.abortOnPanic()
-		g.runShard(0, limit)
-	}()
+	g.runShardOrAbort(0, limit)
 	wg.Wait()
 	if g.aborted.Load() {
 		msg, _ := g.failure.Load().(string)
@@ -239,19 +235,29 @@ func (g *Group) run(limit time.Duration) time.Duration {
 	return now
 }
 
-// abortOnPanic converts a shard panic into a group-wide abort so the
-// remaining shards do not wait on a neighbor that will never publish. The
-// panic is swallowed here — a worker goroutine must not crash the process —
-// and re-raised by run on the caller's goroutine once every shard has
-// stopped. Only the first failure is recorded; the cascade panics the other
-// shards raise when they observe the abort are not it.
-func (g *Group) abortOnPanic() {
-	if r := recover(); r != nil {
-		if g.aborted.CompareAndSwap(false, true) {
-			g.failure.Store(fmt.Sprint(r))
+// runShardOrAbort runs shard id, converting a panic into a group-wide
+// abort so the remaining shards do not wait on a neighbor that will never
+// publish. The panic is swallowed here — a worker goroutine must not crash
+// the process — and re-raised by run on the caller's goroutine once every
+// shard has stopped. Only the first failure is recorded; the cascade panics
+// the other shards raise when they observe the abort are not it. A
+// runtime.Goexit (t.FailNow inside a process, carried out of the process's
+// coroutine) aborts the group too.
+func (g *Group) runShardOrAbort(id int, limit time.Duration) {
+	returned := false
+	defer func() {
+		if r := recover(); !returned {
+			if r == nil {
+				r = "runtime.Goexit in a shard goroutine"
+			}
+			if g.aborted.CompareAndSwap(false, true) {
+				g.failure.Store(fmt.Sprint(r))
+			}
+			g.notifyAll()
 		}
-		g.notifyAll()
-	}
+	}()
+	g.runShard(id, limit)
+	returned = true
 }
 
 // satAdd adds two non-negative int64 durations, saturating at MaxInt64.

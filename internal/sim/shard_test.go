@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -231,6 +232,54 @@ func TestShardPanicAborts(t *testing.T) {
 		}
 	}()
 	root.Run()
+}
+
+// TestShardProcFailureAborts: a process on a non-root shard that panics,
+// or exits its goroutine (t.FailNow does this), aborts the whole group and
+// reaches the root's caller named, instead of leaving the other shards
+// waiting on a neighbor that will never publish; the tightly coupled root
+// stops long before its own process would finish.
+func TestShardProcFailureAborts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fail func()
+		want string
+	}{
+		{"panic", func() { panic("kaboom") }, `sim: shard aborted: sim: process "x" panicked: kaboom`},
+		{"goexit", runtime.Goexit, "sim: shard aborted: runtime.Goexit"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := New(1)
+			s1 := root.NewShard(2)
+			g := root.Group()
+			newRingMailbox(g, root, s1)
+			newRingMailbox(g, s1, root)
+			g.ObserveLookaheadBetween(root, s1, time.Microsecond)
+			g.ObserveLookaheadBetween(s1, root, time.Microsecond)
+			ticks := 0
+			root.Spawn("ticker", func(p *Proc) {
+				for ; ticks < 1000; ticks++ {
+					p.Sleep(time.Microsecond)
+				}
+			})
+			s1.Spawn("x", func(p *Proc) {
+				p.Sleep(50 * time.Microsecond)
+				tc.fail()
+			})
+			defer root.Shutdown()
+			r := func() (r any) {
+				defer func() { r = recover() }()
+				root.Run()
+				return nil
+			}()
+			if msg, _ := r.(string); !strings.HasPrefix(msg, tc.want) {
+				t.Fatalf("group run ended with %v, want %q", r, tc.want)
+			}
+			if ticks >= 1000 {
+				t.Fatalf("root shard ran its process to completion (%d ticks) despite the abort", ticks)
+			}
+		})
+	}
 }
 
 func TestShardGroupShutdown(t *testing.T) {

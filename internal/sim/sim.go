@@ -3,8 +3,9 @@
 //
 // The engine maintains a virtual clock and an ordered event queue. Simulated
 // activities run either as plain scheduled callbacks (Engine.After) or as
-// processes (Proc): goroutines that are cooperatively scheduled so that
-// exactly one of them — or the engine itself — executes at any instant.
+// processes (Proc): coroutines that the engine switches into and out of,
+// so that exactly one of them — or the engine itself — executes at any
+// instant.
 // Processes advance the virtual clock by sleeping (charging processing
 // costs) and synchronize through conditions (Cond) and bounded FIFOs.
 //
@@ -58,14 +59,10 @@ type Engine struct {
 	free *event
 	// wheel is the far-horizon event store (nil under SchedulerHeap).
 	wheel  *wheel
-	parked chan struct{}
-	// running is the currently executing process, nil while the engine
-	// itself (or a callback) runs.
-	running *Proc
-	procs   map[*Proc]struct{}
-	rng     *rand.Rand
-	tracer  func(at time.Duration, who, msg string)
-	nsteps  uint64
+	procs  map[*Proc]struct{}
+	rng    *rand.Rand
+	tracer func(at time.Duration, who, msg string)
+	nsteps uint64
 	// group and shardID place the engine in a sharded simulation (nil /
 	// zero for a plain serial engine). See shard.go.
 	group   *Group
@@ -95,9 +92,8 @@ func New(seed int64) *Engine { return NewWithScheduler(seed, SchedulerWheel) }
 // affects only the cost of holding large pending-event populations.
 func NewWithScheduler(seed int64, kind SchedulerKind) *Engine {
 	e := &Engine{
-		parked: make(chan struct{}),
-		procs:  make(map[*Proc]struct{}),
-		rng:    rand.New(rand.NewSource(seed)), //unetlint:allow seedflow the engine master stream IS the root every derived stream hangs off; it is seeded once, directly from the caller's plan seed
+		procs: make(map[*Proc]struct{}),
+		rng:   rand.New(rand.NewSource(seed)), //unetlint:allow seedflow the engine master stream IS the root every derived stream hangs off; it is seeded once, directly from the caller's plan seed
 	}
 	if kind == SchedulerWheel {
 		e.wheel = newWheel()
@@ -442,10 +438,10 @@ func (e *Engine) maybeCompact() {
 	e.events.init()
 }
 
-// Shutdown terminates every live process (blocked or sleeping) by unwinding
-// its goroutine, then discards pending events. Call when a simulation is
-// finished to avoid leaking goroutines; the engine must not be used after.
-// On the root engine of a shard group it shuts every shard down.
+// Shutdown terminates every live process (blocked or sleeping) by stopping
+// its coroutine, unwinding it through its deferred cleanup, then discards
+// pending events; the engine must not be used after. On the root engine of
+// a shard group it shuts every shard down.
 func (e *Engine) Shutdown() {
 	if e.group != nil && e.group.root == e {
 		e.group.shutdown()
@@ -456,11 +452,8 @@ func (e *Engine) Shutdown() {
 
 func (e *Engine) shutdownLocal() {
 	for p := range e.procs {
-		p.killed = true
-	}
-	for p := range e.procs {
-		if p.started && !p.done {
-			e.transfer(p)
+		if p.stop != nil {
+			p.stop()
 		}
 		delete(e.procs, p)
 	}
@@ -472,14 +465,10 @@ func (e *Engine) shutdownLocal() {
 	}
 }
 
-// transfer hands execution to p and waits until p blocks or finishes.
-// This is the single point of control transfer between engine and process.
+// transfer runs p's coroutine until p parks or finishes. This is the
+// single point of control transfer between engine and process.
 func (e *Engine) transfer(p *Proc) {
-	prev := e.running
-	e.running = p
-	p.resume <- struct{}{}
-	<-e.parked
-	e.running = prev
+	p.next()
 	if p.done {
 		delete(e.procs, p)
 	}
@@ -501,26 +490,13 @@ func (e *Engine) resumeAt(at time.Duration, p *Proc) {
 }
 
 // Spawn creates a process named name running fn and schedules it to start
-// at the current virtual time. fn runs on its own goroutine but under the
-// engine's cooperative scheduling: it executes only while every other
-// process is blocked.
+// at the current virtual time. fn runs as a coroutine under the engine's
+// cooperative scheduling: it executes only while every other process is
+// blocked, and only on the goroutine driving the engine.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{e: e, name: name, resume: make(chan struct{})}
+	p := &Proc{e: e, name: name}
 	e.procs[p] = struct{}{}
-	e.After(0, func() {
-		if p.killed || p.started {
-			return
-		}
-		p.started = true
-		prev := e.running
-		e.running = p
-		go p.top(fn)
-		<-e.parked
-		e.running = prev
-		if p.done {
-			delete(e.procs, p)
-		}
-	})
+	e.After(0, func() { p.start(fn) })
 	return p
 }
 

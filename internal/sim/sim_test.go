@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -288,18 +289,84 @@ func TestRunUntilStopsAtLimit(t *testing.T) {
 	}
 }
 
+// TestShutdownUnwindsBlockedProcs parks processes in every blocking state
+// — Cond waits (plain and timed), a far-future sleep, FIFO Put on a full
+// queue and Get on an empty one — plus one spawned but never started, then
+// shuts the engine down: every started process must unwind through its
+// deferred cleanup, the unstarted one must never run, and every process
+// coroutine must be gone.
 func TestShutdownUnwindsBlockedProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
 	e := New(1)
 	var c Cond
-	cleaned := false
-	e.Spawn("stuck", func(p *Proc) {
-		defer func() { cleaned = true }()
-		p.Wait(&c) // never signaled
+	full, empty := NewFIFO[int](1), NewFIFO[int](1)
+	cleaned := map[string]bool{}
+	spawn := func(name string, body func(p *Proc)) {
+		e.Spawn(name, func(p *Proc) {
+			defer func() { cleaned[name] = true }()
+			body(p)
+		})
+	}
+	spawn("cond-a", func(p *Proc) { p.Wait(&c) }) // never signaled
+	spawn("cond-b", func(p *Proc) { p.Wait(&c) })
+	spawn("cond-timed", func(p *Proc) { p.WaitTimeout(&c, time.Hour) })
+	spawn("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
+	spawn("put", func(p *Proc) {
+		full.Put(p, 1)
+		full.Put(p, 2) // blocks: capacity 1
 	})
-	e.Run()
+	spawn("get", func(p *Proc) { empty.Get(p) })
+	e.RunUntil(time.Millisecond)
+	ran := false
+	e.Spawn("never", func(p *Proc) { ran = true })
+	if n := c.Waiting(); n != 3 {
+		t.Fatalf("Cond has %d waiters before Shutdown, want 3", n)
+	}
+	if full.Len() != 1 || empty.Len() != 0 {
+		t.Fatalf("FIFO lengths = %d/%d before Shutdown, want 1/0", full.Len(), empty.Len())
+	}
 	e.Shutdown()
-	if !cleaned {
-		t.Fatal("deferred cleanup did not run on Shutdown")
+	for _, name := range []string{"cond-a", "cond-b", "cond-timed", "sleeper", "put", "get"} {
+		if !cleaned[name] {
+			t.Errorf("process %q: deferred cleanup did not run on Shutdown", name)
+		}
+	}
+	if ran {
+		t.Error("process spawned before Shutdown but never started ran anyway")
+	}
+	if full.Len() != 1 || empty.Len() != 0 {
+		t.Errorf("FIFO lengths = %d/%d after Shutdown, want 1/0", full.Len(), empty.Len())
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Shutdown, want %d as before New: process coroutines leaked", n, base)
+	}
+}
+
+// TestProcPanicReachesCaller: a panicking process surfaces on the goroutine
+// that drives the engine, named, where the caller can recover it; the
+// engine can still be shut down afterwards.
+func TestProcPanicReachesCaller(t *testing.T) {
+	e := New(1)
+	bystanderCleaned := false
+	e.Spawn("bystander", func(p *Proc) {
+		defer func() { bystanderCleaned = true }()
+		p.Sleep(time.Hour)
+	})
+	e.Spawn("x", func(p *Proc) {
+		p.Sleep(us)
+		panic("kaboom")
+	})
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		e.RunUntil(time.Millisecond)
+		return nil
+	}()
+	if want := `sim: process "x" panicked: kaboom`; r != want {
+		t.Fatalf("RunUntil panicked with %v, want %q", r, want)
+	}
+	e.Shutdown()
+	if !bystanderCleaned {
+		t.Fatal("Shutdown after a process panic did not unwind the other process")
 	}
 }
 
